@@ -1,6 +1,8 @@
 #include "compiler/weight_pack.h"
 
 #include <algorithm>
+#include <array>
+#include <span>
 
 #include "common/check.h"
 #include "common/math_util.h"
@@ -66,114 +68,139 @@ std::int64_t BiasImageWords(const ConvLayer& layer, const AccelConfig& cfg) {
   return 2LL * PaddedK(layer, cfg);
 }
 
-void WriteWeightImages(const CompiledModel& cm, const Model& model,
-                       const ModelWeightsQ& weights, DramModel& dram) {
+void ValidateModelWeights(const Model& model, const ModelWeightsQ& weights) {
   HDNN_CHECK(static_cast<int>(weights.size()) == model.num_layers())
       << "weights for " << weights.size() << " layers, model has "
       << model.num_layers();
+  for (int li = 0; li < model.num_layers(); ++li) {
+    const ConvLayer& layer = model.layer(li);
+    const LayerWeightsQ& lw = weights[static_cast<std::size_t>(li)];
+    HDNN_CHECK(lw.weights.shape() == Shape({layer.out_channels,
+                                            layer.in_channels, layer.kernel_h,
+                                            layer.kernel_w}))
+        << layer.name << ": weight shape " << lw.weights.shape().ToString();
+    HDNN_CHECK(lw.bias.empty() || lw.bias.elements() == layer.out_channels)
+        << layer.name << ": bias of " << lw.bias.elements() << " values for "
+        << layer.out_channels << " output channels";
+  }
+}
+
+namespace {
+
+/// The part [addr, addr + words) of the parameter region, range-checked
+/// like a DRAM run (a hand-built plan must not write outside the region).
+std::span<std::int16_t> RegionRun(std::span<std::int16_t> region,
+                                  std::int64_t addr, std::int64_t words) {
+  HDNN_CHECK(words >= 0 && addr >= 0 &&
+             addr + words <= static_cast<std::int64_t>(region.size()))
+      << "parameter run [" << addr << ", " << addr + words
+      << ") outside the " << region.size() << "-word weight region";
+  return region.subspan(static_cast<std::size_t>(addr),
+                        static_cast<std::size_t>(words));
+}
+
+/// The one weight packer: fills `region`, the contiguous weight + bias
+/// region [0, cm.fmap_base) of the DRAM map, with every layer's images.
+/// Allocates per layer only (the Winograd slice decomposition and one
+/// PO x PI tile cache), never per tile or per element.
+void PackWeightRegion(const CompiledModel& cm, const Model& model,
+                      const ModelWeightsQ& weights,
+                      std::span<std::int16_t> region) {
+  ValidateModelWeights(model, weights);
+  const AccelConfig& cfg = cm.cfg;
+  const int pt = cfg.pt;
   for (int li = 0; li < model.num_layers(); ++li) {
     const ConvLayer& layer = model.layer(li);
     const LayerPlan& plan = cm.plans[static_cast<std::size_t>(li)];
     const LayerWeightsQ& lw = weights[static_cast<std::size_t>(li)];
     const int K = layer.out_channels;
     const int C_real = layer.in_channels;  // flattened for FC
-    HDNN_CHECK(lw.weights.shape() ==
-               Shape({K, C_real, layer.kernel_h, layer.kernel_w}))
-        << layer.name << ": weight shape " << lw.weights.shape().ToString();
     const bool wino = plan.mapping.mode == ConvMode::kWinograd;
-    const int pt = cm.cfg.pt;
+    const std::int64_t kk =
+        wino ? static_cast<std::int64_t>(pt) * pt
+             : static_cast<std::int64_t>(layer.kernel_h) * layer.kernel_w;
 
-    // Precompute Winograd-transformed (or raw) kernels for the whole layer.
-    // Transformed tensor: [slice][k][c][kk] int16.
+    // Winograd layers: 3x3 slices of the kernel, and per (kv, cv) channel
+    // block the PO x PI transformed (U) tiles, [co][ci][kk] int16 (zero
+    // for padding channels).
     std::vector<KernelSlice<std::int8_t>> slices;
-    if (wino) slices = DecomposeKernel(lw.weights);
+    std::vector<std::int16_t> tiles;
+    if (wino) {
+      slices = DecomposeKernel(lw.weights);
+      tiles.resize(static_cast<std::size_t>(cfg.po * cfg.pi * kk));
+    }
+    std::array<std::int8_t, 9> g33{};
 
-    auto raw_at = [&](int k, int c, int rc) -> std::int16_t {
-      if (k >= K || c >= C_real) return 0;
-      const int r = rc / layer.kernel_w;
-      const int s = rc % layer.kernel_w;
-      return lw.weights.at(k, c, r, s);
-    };
-
-    std::vector<std::int8_t> g33(9);
-    auto wino_tile = [&](int slice, int k, int c) -> std::vector<std::int16_t> {
-      if (k >= K || c >= C_real) {
-        return std::vector<std::int16_t>(static_cast<std::size_t>(pt * pt), 0);
-      }
-      const auto& sl = slices[static_cast<std::size_t>(slice)];
-      for (int r = 0; r < 3; ++r) {
-        for (int s = 0; s < 3; ++s) {
-          g33[static_cast<std::size_t>(r * 3 + s)] = sl.kernel.at(k, c, r, s);
-        }
-      }
-      return TransformKernelQ(g33, pt, plan.u_shift);
-    };
-
-    ForEachWeightBlock(
-        plan, layer, cm.cfg, [&](const WeightBlock& block) {
-          const std::int64_t kk =
-              wino ? static_cast<std::int64_t>(pt) * pt
-                   : static_cast<std::int64_t>(layer.kernel_h) * layer.kernel_w;
-          const std::int64_t kv_n = CeilDiv<std::int64_t>(block.k_count, cm.cfg.po);
-          const std::int64_t cv_n = CeilDiv<std::int64_t>(block.c_count, cm.cfg.pi);
-          // The block is one contiguous DRAM image — a single validated run
-          // instead of block_words bounds-checked per-word writes.
-          const auto dst = dram.WriteRun(plan.wgt_dram_base + block.base_words,
-                                         block.block_words);
-          // The loop below must emit exactly the run it reserved — a drift
-          // between this count and ForEachWeightBlock's block_words formula
-          // would otherwise become an unchecked out-of-span write.
-          HDNN_CHECK(kv_n * cv_n * kk * cm.cfg.po * cm.cfg.pi ==
-                     block.block_words)
-              << layer.name << ": weight block geometry disagrees with its "
-              << "reserved run (" << block.block_words << " words)";
-          std::size_t idx = 0;
-          // Linear order must match the sim's weight-slab contract:
-          // (((kv*cv_n + cv)*kk + rc)*PO + co)*PI + ci.
-          for (std::int64_t kv = 0; kv < kv_n; ++kv) {
-            for (std::int64_t cv = 0; cv < cv_n; ++cv) {
-              // Cache transformed tiles for the PI x PO channel block.
-              std::vector<std::vector<std::int16_t>> tiles;
-              if (wino) {
-                tiles.resize(static_cast<std::size_t>(cm.cfg.po * cm.cfg.pi));
-                for (int co = 0; co < cm.cfg.po; ++co) {
-                  for (int ci = 0; ci < cm.cfg.pi; ++ci) {
-                    tiles[static_cast<std::size_t>(co * cm.cfg.pi + ci)] =
-                        wino_tile(block.slice,
-                                  block.k0 + static_cast<int>(kv) * cm.cfg.po + co,
-                                  block.c0 + static_cast<int>(cv) * cm.cfg.pi + ci);
+    ForEachWeightBlock(plan, layer, cfg, [&](const WeightBlock& block) {
+      const std::int64_t kv_n = CeilDiv<std::int64_t>(block.k_count, cfg.po);
+      const std::int64_t cv_n = CeilDiv<std::int64_t>(block.c_count, cfg.pi);
+      // The loop below must emit exactly the run it reserves — a drift
+      // between this count and ForEachWeightBlock's block_words formula
+      // would otherwise become an unchecked out-of-span write.
+      HDNN_CHECK(kv_n * cv_n * kk * cfg.po * cfg.pi == block.block_words)
+          << layer.name << ": weight block geometry disagrees with its "
+          << "reserved run (" << block.block_words << " words)";
+      const auto dst = RegionRun(region, plan.wgt_dram_base + block.base_words,
+                                 block.block_words);
+      const KernelSlice<std::int8_t>* slice =
+          wino ? &slices[static_cast<std::size_t>(block.slice)] : nullptr;
+      std::size_t idx = 0;
+      // Linear order must match the sim's weight-slab contract:
+      // (((kv*cv_n + cv)*kk + rc)*PO + co)*PI + ci.
+      for (std::int64_t kv = 0; kv < kv_n; ++kv) {
+        for (std::int64_t cv = 0; cv < cv_n; ++cv) {
+          const int k_base = block.k0 + static_cast<int>(kv) * cfg.po;
+          const int c_base = block.c0 + static_cast<int>(cv) * cfg.pi;
+          if (wino) {
+            for (int co = 0; co < cfg.po; ++co) {
+              for (int ci = 0; ci < cfg.pi; ++ci) {
+                const int k = k_base + co;
+                const int c = c_base + ci;
+                const std::span<std::int16_t> tile(
+                    tiles.data() + (co * cfg.pi + ci) * kk,
+                    static_cast<std::size_t>(kk));
+                if (k >= K || c >= C_real) {
+                  std::fill(tile.begin(), tile.end(), 0);
+                  continue;
+                }
+                for (int r = 0; r < 3; ++r) {
+                  for (int s = 0; s < 3; ++s) {
+                    g33[static_cast<std::size_t>(r * 3 + s)] =
+                        slice->kernel.at(k, c, r, s);
                   }
                 }
-              }
-              for (std::int64_t rc = 0; rc < kk; ++rc) {
-                for (int co = 0; co < cm.cfg.po; ++co) {
-                  for (int ci = 0; ci < cm.cfg.pi; ++ci) {
-                    std::int16_t value;
-                    if (wino) {
-                      value = tiles[static_cast<std::size_t>(co * cm.cfg.pi +
-                                                             ci)]
-                                   [static_cast<std::size_t>(rc)];
-                    } else {
-                      value = raw_at(
-                          block.k0 + static_cast<int>(kv) * cm.cfg.po + co,
-                          block.c0 + static_cast<int>(cv) * cm.cfg.pi + ci,
-                          static_cast<int>(rc));
-                    }
-                    dst[idx++] = value;
-                  }
-                }
+                TransformKernelQInto(g33, pt, plan.u_shift, tile);
               }
             }
           }
-        });
+          for (std::int64_t rc = 0; rc < kk; ++rc) {
+            for (int co = 0; co < cfg.po; ++co) {
+              for (int ci = 0; ci < cfg.pi; ++ci) {
+                const int k = k_base + co;
+                const int c = c_base + ci;
+                std::int16_t value = 0;
+                if (wino) {
+                  value = tiles[static_cast<std::size_t>(
+                      (co * cfg.pi + ci) * kk + rc)];
+                } else if (k < K && c < C_real) {
+                  value = lw.weights.at(k, c, rc / layer.kernel_w,
+                                        rc % layer.kernel_w);
+                }
+                dst[idx++] = value;
+              }
+            }
+          }
+        }
+      }
+    });
 
     // Bias image: padded K int32 values (little-endian word pairs, one
     // contiguous run), pre-shifted for Winograd layers.
-    const int kp = PaddedK(layer, cm.cfg);
-    const auto bias_dst = dram.WriteRun(plan.bias_dram_base, 2LL * kp);
+    const int kp = PaddedK(layer, cfg);
+    const auto bias_dst = RegionRun(region, plan.bias_dram_base, 2LL * kp);
     for (int k = 0; k < kp; ++k) {
       std::int64_t b = 0;
-      if (k < K && lw.bias.elements() > 0) b = lw.bias.flat(k);
+      if (k < K && !lw.bias.empty()) b = lw.bias.flat(k);
       if (wino) b <<= plan.u_shift;
       const std::uint32_t u =
           static_cast<std::uint32_t>(static_cast<std::int32_t>(b));
@@ -183,6 +210,22 @@ void WriteWeightImages(const CompiledModel& cm, const Model& model,
           static_cast<std::int16_t>(u >> 16);
     }
   }
+}
+
+}  // namespace
+
+void WriteWeightImages(const CompiledModel& cm, const Model& model,
+                       const ModelWeightsQ& weights, DramModel& dram) {
+  // The whole parameter region is one validated transaction, packed in
+  // place: no staging copy, and the same words_written as the per-block
+  // runs it replaces, since the blocks and biases tile [0, fmap_base).
+  PackWeightRegion(cm, model, weights, dram.WriteRun(0, cm.fmap_base));
+}
+
+WeightImage::WeightImage(const CompiledModel& cm, const Model& model,
+                         const ModelWeightsQ& weights)
+    : words_(static_cast<std::size_t>(cm.fmap_base)) {
+  PackWeightRegion(cm, model, weights, words_);
 }
 
 ModelWeightsQ SyntheticWeights(const Model& model, std::uint64_t seed) {

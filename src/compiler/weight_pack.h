@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "compiler/compiler.h"
@@ -46,11 +47,33 @@ std::int64_t WeightImageWords(const LayerPlan& plan, const ConvLayer& layer,
 /// Words needed for a layer's bias image (2 words per padded K).
 std::int64_t BiasImageWords(const ConvLayer& layer, const AccelConfig& cfg);
 
+/// Checks `weights` against `model`: one entry per layer, each a K x C x
+/// R x S kernel of the layer's geometry with an empty or K-long bias.
+/// Throws InvalidArgument on the first mismatch.
+void ValidateModelWeights(const Model& model, const ModelWeightsQ& weights);
+
 /// Writes the weight + bias images of all layers into DRAM at the bases
 /// recorded in the compiled model. Winograd layers get transformed (U) and
 /// quantised kernels; biases of Winograd layers are pre-shifted by u_shift.
+/// The images tile [0, cm.fmap_base), which is written as one DRAM run.
 void WriteWeightImages(const CompiledModel& cm, const Model& model,
                        const ModelWeightsQ& weights, DramModel& dram);
+
+/// A deployment's packed parameter region: exactly the words
+/// WriteWeightImages writes to DRAM [0, cm.fmap_base), built once so that
+/// repeated inferences restore it with one bulk copy instead of re-packing
+/// (Runtime::Execute's WeightImage overload). Immutable after construction,
+/// so one image may be read by any number of threads.
+class WeightImage {
+ public:
+  WeightImage(const CompiledModel& cm, const Model& model,
+              const ModelWeightsQ& weights);
+
+  std::span<const std::int16_t> words() const { return words_; }
+
+ private:
+  std::vector<std::int16_t> words_;
+};
 
 /// Deterministic synthetic quantised weights for experiments (paper
 /// substitution: pretrained VGG16 -> seeded synthetic parameters).

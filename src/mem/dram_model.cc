@@ -1,10 +1,28 @@
 #include "mem/dram_model.h"
 
+#include <sys/mman.h>
+
 #include <algorithm>
+#include <new>
 
 #include "common/check.h"
 
 namespace hdnn {
+
+template <typename T>
+T* PageAllocator<T>::allocate(std::size_t n) {
+  void* p = mmap(nullptr, n * sizeof(T), PROT_READ | PROT_WRITE,
+                 MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (p == MAP_FAILED) throw std::bad_alloc();
+  return static_cast<T*>(p);
+}
+
+template <typename T>
+void PageAllocator<T>::deallocate(T* p, std::size_t n) {
+  munmap(p, n * sizeof(T));
+}
+
+template struct PageAllocator<std::int16_t>;
 
 DramModel::DramModel(std::int64_t words) {
   // Validate before sizing the backing store: a negative `words` cast to

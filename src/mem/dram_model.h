@@ -26,6 +26,25 @@ struct DramFault {
   std::uint16_t xor_mask = 1;
 };
 
+/// Allocator for the DRAM backing store: whole pages mapped from the OS
+/// and unmapped on release. A deployment's DRAM image is the host's largest
+/// allocation (megabytes); kept out of the malloc heap, freeing it returns
+/// the memory at once, and the small objects the host allocates between two
+/// deployments can never split the hole it leaves and push the next image
+/// to a fresh heap top (which grows peak RSS by a whole image).
+template <typename T>
+struct PageAllocator {
+  using value_type = T;
+  PageAllocator() = default;
+  template <typename U>
+  PageAllocator(const PageAllocator<U>&) {}
+  T* allocate(std::size_t n);
+  void deallocate(T* p, std::size_t n);
+  friend bool operator==(const PageAllocator&, const PageAllocator&) {
+    return true;
+  }
+};
+
 class DramModel {
  public:
   explicit DramModel(std::int64_t words);
@@ -104,7 +123,7 @@ class DramModel {
   /// `words_` is mutable because faults fire on the (const) read path too —
   /// corrupting storage during a read is the point of modeling disturb
   /// errors. Plain reads never mutate when no fault is armed.
-  mutable std::vector<std::int16_t> words_;
+  mutable std::vector<std::int16_t, PageAllocator<std::int16_t>> words_;
   std::int64_t next_free_ = 0;
   mutable std::int64_t words_read_ = 0;
   std::int64_t words_written_ = 0;

@@ -97,8 +97,10 @@ class InferenceEngine {
   /// in order, so results are deterministic and bit-identical to sequential
   /// execution). Concurrent callers are safe and overlap: each call checks
   /// its Runtimes out of the shared pool instead of serializing on an
-  /// engine-wide lock. Throws (first failure wins, in item order) if any
-  /// item fails.
+  /// engine-wide lock. A functional call packs `weights` into one
+  /// WeightImage and every item restores it. Throws InvalidArgument for
+  /// weights that do not fit the model, else (first failure wins, in item
+  /// order) if any item fails.
   BatchReport ExecuteBatch(const Model& model, const AccelConfig& cfg,
                            const std::vector<LayerMapping>& mapping,
                            const ModelWeightsQ& weights,

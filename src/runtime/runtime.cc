@@ -79,6 +79,19 @@ RunReport Runtime::Execute(const Model& model, const CompiledModel& cm,
                            const ModelWeightsQ& weights,
                            const Tensor<std::int16_t>& input,
                            bool functional) {
+  return Run(model, cm, &weights, nullptr, input, functional);
+}
+
+RunReport Runtime::Execute(const Model& model, const CompiledModel& cm,
+                           const WeightImage& image,
+                           const Tensor<std::int16_t>& input,
+                           bool functional) {
+  return Run(model, cm, nullptr, &image, input, functional);
+}
+
+RunReport Runtime::Run(const Model& model, const CompiledModel& cm,
+                       const ModelWeightsQ* weights, const WeightImage* image,
+                       const Tensor<std::int16_t>& input, bool functional) {
   HDNN_CHECK(cm.cfg == cfg_) << "compiled model targets a different config";
   // Compiler-produced models were stream-checked and decoded at compile
   // time (cm.decoded); only hand-built CompiledModels pay per-run QA.
@@ -91,7 +104,16 @@ RunReport Runtime::Execute(const Model& model, const CompiledModel& cm,
   }
 
   if (functional) {
-    WriteWeightImages(cm, model, weights, *dram_);
+    if (image != nullptr) {
+      HDNN_CHECK(static_cast<std::int64_t>(image->words().size()) ==
+                 cm.fmap_base)
+          << "weight image of " << image->words().size()
+          << " words does not cover this program's parameter region of "
+          << cm.fmap_base << " words";
+      dram_->WriteBlock(0, image->words());
+    } else {
+      WriteWeightImages(cm, model, *weights, *dram_);
+    }
     const LayerPlan& first = cm.plans.front();
     HDNN_CHECK(input.shape() == Shape({first.in_shape.channels,
                                        first.in_shape.height,

@@ -42,6 +42,14 @@ class Runtime {
                     const ModelWeightsQ& weights,
                     const Tensor<std::int16_t>& input, bool functional = true);
 
+  /// Same run, with the parameters taken from a prebuilt WeightImage of
+  /// this `cm`: a functional run restores it with one bulk DRAM write
+  /// instead of packing. Outputs, SimStats and DRAM word counts are
+  /// identical to the `weights` overload (DESIGN.md Sec. 13).
+  RunReport Execute(const Model& model, const CompiledModel& cm,
+                    const WeightImage& image,
+                    const Tensor<std::int16_t>& input, bool functional = true);
+
   /// Integrity tagging (DESIGN.md Sec. 12): when enabled, a functional
   /// Execute computes a CRC32 over the final fmap SAVE slab the instant the
   /// accelerator run completes (modeling the device tagging the slab as it
@@ -56,6 +64,12 @@ class Runtime {
   DramModel* dram() { return dram_.get(); }
 
  private:
+  /// Shared body of both Execute overloads: a functional run stages the
+  /// parameter region from `image` when non-null, else packs `weights`.
+  RunReport Run(const Model& model, const CompiledModel& cm,
+                const ModelWeightsQ* weights, const WeightImage* image,
+                const Tensor<std::int16_t>& input, bool functional);
+
   AccelConfig cfg_;
   FpgaSpec spec_;
   bool integrity_check_ = false;

@@ -107,6 +107,7 @@ ModelHandle InferenceServer::RegisterModel(
     double priority_weight) {
   HDNN_CHECK(priority_weight > 0)
       << "priority_weight must be positive, got " << priority_weight;
+  ValidateModelWeights(model, weights);
   auto ms = std::make_unique<ModelState>(Queue(
       options_.max_queue_depth, options_.max_batch,
       options_.max_queue_delay_seconds));
@@ -133,6 +134,21 @@ ModelHandle InferenceServer::RegisterModel(
   scan_weights_.push_back(priority_weight);
   scan_credits_.push_back(0);
   return static_cast<ModelHandle>(models_.size() - 1);
+}
+
+const WeightImage& InferenceServer::WeightImageOf(ModelState& ms) {
+  // Lazy so that registration stays cheap and servers that never run
+  // functionally never pack. Racing first dispatches serialize on image_mu
+  // and the first one builds; a packing exception leaves `image` unset, so
+  // a later dispatch tries again.
+  std::lock_guard<std::mutex> image_lock(ms.image_mu);
+  if (!ms.image) {
+    ms.image = std::make_unique<const WeightImage>(*ms.compiled, ms.model,
+                                                   ms.weights);
+    std::lock_guard<std::mutex> lock(ms.mu);
+    ++ms.stats.weight_images;
+  }
+  return *ms.image;
 }
 
 void InferenceServer::ResolveShed(Queue::Entry entry, ServeOutcome outcome,
@@ -307,6 +323,24 @@ void InferenceServer::RunBatch(ModelState& ms,
       batch[k].value.promise.set_value(std::move(report));
     }
   } else {
+    const WeightImage* image = nullptr;
+    if (options_.mode == ExecMode::kFunctional) {
+      try {
+        image = &WeightImageOf(ms);
+      } catch (...) {
+        // Registration validated the weights, so this is a resource failure
+        // (e.g. bad_alloc): no item can run. Every request of the batch
+        // fails with the exception; the worker lives on.
+        {
+          std::lock_guard<std::mutex> lock(ms.mu);
+          ms.stats.failed += batch_size;
+        }
+        for (Queue::Entry& e : batch) {
+          e.value.promise.set_exception(std::current_exception());
+        }
+        return;
+      }
+    }
     RuntimePool::Lease lease = engine_.runtime_pool().Checkout(ms.cfg);
     lease->set_integrity_check(options_.integrity_check);
     for (int k = 0; k < batch_size; ++k) {
@@ -318,9 +352,12 @@ void InferenceServer::RunBatch(ModelState& ms,
         // served, and inference is pure, so re-executing in place is safe.
         for (int attempt = 0;; ++attempt) {
           try {
-            run = lease->Execute(
-                ms.model, *ms.compiled, ms.weights, batch[k].value.input,
-                /*functional=*/options_.mode == ExecMode::kFunctional);
+            run = image != nullptr
+                      ? lease->Execute(ms.model, *ms.compiled, *image,
+                                       batch[k].value.input)
+                      : lease->Execute(ms.model, *ms.compiled, ms.weights,
+                                       batch[k].value.input,
+                                       /*functional=*/false);
             executed = true;
             break;
           } catch (const IntegrityError&) {
@@ -348,6 +385,10 @@ void InferenceServer::RunBatch(ModelState& ms,
         }
         batch[k].value.promise.set_value(std::move(report));
       } catch (...) {
+        {
+          std::lock_guard<std::mutex> lock(ms.mu);
+          ++ms.stats.failed;
+        }
         batch[k].value.promise.set_exception(std::current_exception());
       }
     }
@@ -479,10 +520,13 @@ InferenceServer::TraceReport InferenceServer::ServeTrace(
       } else {
         const TraceArrival& a =
             trace[static_cast<std::size_t>(batch[k].value.trace_index)];
-        r.run = lease->Execute(
-            ms.model, *ms.compiled, ms.weights,
-            inputs[static_cast<std::size_t>(a.input_index)],
-            /*functional=*/options_.mode == ExecMode::kFunctional);
+        const Tensor<std::int16_t>& input =
+            inputs[static_cast<std::size_t>(a.input_index)];
+        r.run = options_.mode == ExecMode::kFunctional
+                    ? lease->Execute(ms.model, *ms.compiled,
+                                     WeightImageOf(ms), input)
+                    : lease->Execute(ms.model, *ms.compiled, ms.weights,
+                                     input, /*functional=*/false);
       }
     }
     drainer_free =

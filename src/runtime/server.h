@@ -16,7 +16,9 @@
 //   * kFunctional  — full functional simulation per item. Outputs are
 //     bit-identical to a sequential Runtime::Execute of the same input:
 //     each item is one Execute on a pooled Runtime, and Runtime reuse is
-//     bit-invisible (DESIGN.md Sec. 4).
+//     bit-invisible (DESIGN.md Sec. 4). The model's weights are packed into
+//     a WeightImage once, on its first functional dispatch, and every item
+//     restores that image (DESIGN.md Sec. 13).
 //   * kTimingOnly  — cycle simulation per item, no arithmetic or outputs.
 //   * kDevicePaced — hardware-in-the-loop emulation for load testing: the
 //     per-item modeled accelerator latency is profiled once per registered
@@ -103,7 +105,12 @@ struct ServerStats {
   std::int64_t batches = 0;
   std::int64_t batched_items = 0;
   std::int64_t retried = 0;  ///< in-place integrity re-executions
-  std::int64_t failed = 0;   ///< kFailed resolutions (retries exhausted)
+  /// Dispatched requests that did not complete: kFailed resolutions
+  /// (retries exhausted) and futures resolved with an exception.
+  std::int64_t failed = 0;
+  /// WeightImages packed for this model: 0 until its first functional
+  /// dispatch, then 1 (never more; kTimingOnly/kDevicePaced stay at 0).
+  std::int64_t weight_images = 0;
 
   double mean_batch_size() const {
     return batches > 0 ? static_cast<double>(batched_items) /
@@ -149,8 +156,11 @@ class InferenceServer {
 
   const ServerOptions& options() const { return options_; }
 
-  /// Compiles (or cache-hits) the deployment, profiles its deterministic
-  /// per-item modeled device latency, and creates its serving queue.
+  /// Validates `weights` against `model` (InvalidArgument on a layer-count,
+  /// kernel-shape or bias-length mismatch), compiles (or cache-hits) the
+  /// deployment, profiles its deterministic per-item modeled device
+  /// latency, and creates its serving queue. The weights are packed later,
+  /// once, on the model's first functional dispatch.
   /// `priority_weight` (> 0) sets this model's share of the drain scan
   /// relative to the other registered models (see PickReadyQueue); the
   /// default 1.0 for every model preserves the legacy round-robin.
@@ -215,6 +225,12 @@ class InferenceServer {
     ModelWeightsQ weights;
     std::shared_ptr<const CompiledModel> compiled;
     double device_seconds = 0;
+    /// Packed parameters, built by WeightImageOf on the first functional
+    /// dispatch and read-only afterwards (shared by every worker). Set
+    /// once, under image_mu (taken before mu, never while holding it);
+    /// never reset.
+    std::mutex image_mu;
+    std::unique_ptr<const WeightImage> image;
 
     /// Guards queue, batch_seq and stats. Lock order: sched_mu_ may be held
     /// when taking mu; never take sched_mu_ while holding mu.
@@ -229,6 +245,8 @@ class InferenceServer {
   double Now() const;
   void SleepUntil(double seconds) const;
   ModelState& state(ModelHandle handle) const;
+  /// The model's WeightImage, packed on first use by exactly one caller.
+  static const WeightImage& WeightImageOf(ModelState& ms);
   void WorkerLoop();
   /// Executes one dispatched batch outside all locks and resolves futures.
   void RunBatch(ModelState& ms, std::vector<Queue::Entry> batch,

@@ -99,18 +99,32 @@ class Tensor {
   friend bool operator==(const Tensor&, const Tensor&) = default;
 
  private:
+  // Row-major flat index computed inline (Horner form): the accessors sit
+  // in the weight packer's and the golden references' inner loops, so they
+  // must not build a coordinate vector per element. The rank and per-dim
+  // bounds checks are the same as Shape::FlatIndex's.
   std::int64_t Index2(std::int64_t r, std::int64_t c) const {
     HDNN_CHECK(shape_.rank() == 2) << "rank-2 access on " << shape_.ToString();
-    return shape_.FlatIndex({r, c});
+    return Coord(0, r) * shape_.dims()[1] + Coord(1, c);
   }
   std::int64_t Index3(std::int64_t c, std::int64_t h, std::int64_t w) const {
     HDNN_CHECK(shape_.rank() == 3) << "rank-3 access on " << shape_.ToString();
-    return shape_.FlatIndex({c, h, w});
+    const auto& d = shape_.dims();
+    return (Coord(0, c) * d[1] + Coord(1, h)) * d[2] + Coord(2, w);
   }
   std::int64_t Index4(std::int64_t k, std::int64_t c, std::int64_t r,
                       std::int64_t s) const {
     HDNN_CHECK(shape_.rank() == 4) << "rank-4 access on " << shape_.ToString();
-    return shape_.FlatIndex({k, c, r, s});
+    const auto& d = shape_.dims();
+    return ((Coord(0, k) * d[1] + Coord(1, c)) * d[2] + Coord(2, r)) * d[3] +
+           Coord(3, s);
+  }
+  /// Bounds-checks coordinate `v` of dim `i` (rank already checked).
+  std::int64_t Coord(std::size_t i, std::int64_t v) const {
+    HDNN_CHECK(v >= 0 && v < shape_.dims()[i])
+        << "coordinate " << v << " out of bounds for dim " << i << " of "
+        << shape_.ToString();
+    return v;
   }
 
   Shape shape_;

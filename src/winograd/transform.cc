@@ -116,6 +116,38 @@ void TransformOutputTileIntoT(std::span<const std::int64_t> m_tile,
   }
 }
 
+// Largest pt*pt tile (PT is 4 or 6).
+constexpr int kMaxTile = 36;
+
+// U = G g GT into `u` (pt*pt doubles, row-major) with stack temporaries. The
+// accumulation order (G g first, then (G g) GT, k ascending, as MatTile and
+// TileMatT sum) fixes the rounded U that the captured vectors pin.
+template <typename T>
+void TransformKernelInto(std::span<const T> g, int pt, double* u) {
+  const auto gm = WinoG(pt);  // pt x 3, rejects PT outside {4, 6}
+  constexpr int r = WinoParam::kR;
+  double gg[kMaxTile];  // G g: pt x 3
+  for (int i = 0; i < pt; ++i) {
+    for (int j = 0; j < r; ++j) {
+      double acc{};
+      for (int k = 0; k < r; ++k) {
+        acc += gm[static_cast<std::size_t>(i * r + k)] *
+               static_cast<double>(g[static_cast<std::size_t>(k * r + j)]);
+      }
+      gg[i * r + j] = acc;
+    }
+  }
+  for (int i = 0; i < pt; ++i) {  // (G g) GT: pt x pt
+    for (int j = 0; j < pt; ++j) {
+      double acc{};
+      for (int k = 0; k < r; ++k) {
+        acc += gg[i * r + k] * gm[static_cast<std::size_t>(j * r + k)];
+      }
+      u[i * pt + j] = acc;
+    }
+  }
+}
+
 }  // namespace
 
 std::vector<std::int32_t> TransformInputTile(std::span<const std::int32_t> d,
@@ -152,30 +184,34 @@ std::vector<double> TransformInputTileF(std::span<const double> d, int pt) {
 
 std::vector<double> TransformKernelF(std::span<const double> g, int pt) {
   HDNN_CHECK(g.size() == 9) << "kernel tile must be 3x3";
-  const auto gm = WinoG(pt);
-  const int r = WinoParam::kR;
-  // U = G g GT: (pt x 3)(3 x 3)(3 x pt).
-  const auto gg = MatTile<double, double, double>(gm, g, pt, r, r);
-  return TileMatT<double, double, double>(gg, gm, pt, r, pt);
+  std::vector<double> u(static_cast<std::size_t>(pt * pt));
+  TransformKernelInto(g, pt, u.data());
+  return u;
 }
 
 std::vector<std::int16_t> TransformKernelQ(std::span<const std::int8_t> g,
                                            int pt, int u_shift) {
+  std::vector<std::int16_t> out(static_cast<std::size_t>(pt * pt));
+  TransformKernelQInto(g, pt, u_shift, out);
+  return out;
+}
+
+void TransformKernelQInto(std::span<const std::int8_t> g, int pt,
+                          int u_shift, std::span<std::int16_t> out) {
   HDNN_CHECK(g.size() == 9) << "kernel tile must be 3x3";
   HDNN_CHECK(u_shift >= 0 && u_shift <= 10) << "u_shift=" << u_shift;
-  std::vector<double> gf(9);
-  for (int i = 0; i < 9; ++i) gf[static_cast<std::size_t>(i)] = g[static_cast<std::size_t>(i)];
-  const auto u = TransformKernelF(gf, pt);
-  std::vector<std::int16_t> out(u.size());
+  HDNN_CHECK(static_cast<int>(out.size()) >= pt * pt)
+      << "kernel transform output too small";
+  double u[kMaxTile];
+  TransformKernelInto(g, pt, u);
   const double scale = static_cast<double>(std::int64_t{1} << u_shift);
-  for (std::size_t i = 0; i < u.size(); ++i) {
+  for (int i = 0; i < pt * pt; ++i) {
     const double scaled = u[i] * scale;
     const double rounded =
         scaled >= 0 ? std::floor(scaled + 0.5) : std::ceil(scaled - 0.5);
-    out[i] = static_cast<std::int16_t>(
+    out[static_cast<std::size_t>(i)] = static_cast<std::int16_t>(
         SaturateSigned(static_cast<std::int64_t>(rounded), 16));
   }
-  return out;
 }
 
 std::vector<std::int64_t> TransformOutputTile(

@@ -38,6 +38,11 @@ std::vector<double> TransformKernelF(std::span<const double> g, int pt);
 std::vector<std::int16_t> TransformKernelQ(std::span<const std::int8_t> g,
                                            int pt, int u_shift);
 
+/// Allocation-free variant of TransformKernelQ for the weight packer:
+/// writes the pt*pt result into `out` (bit-identical to TransformKernelQ).
+void TransformKernelQInto(std::span<const std::int8_t> g, int pt,
+                          int u_shift, std::span<std::int16_t> out);
+
 /// Y = AT M A. M is the pt x pt EWMM accumulator tile; Y is m x m.
 std::vector<std::int64_t> TransformOutputTile(std::span<const std::int64_t> m_tile,
                                               int pt);

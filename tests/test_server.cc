@@ -568,7 +568,10 @@ TEST(InferenceServerTest, StopResolvesEveryOutstandingFuture) {
   // outcomes the drain produces — a dropped promise would deadlock any
   // caller blocked on get(). Deep backlog, a long batching window, and a
   // spread of deadlines (some already hopeless) force the drain through
-  // the ok/expired/rejected paths in one pass.
+  // the ok/expired/rejected paths in one pass. There are fewer urgent
+  // arrivals (3) than queue slots (4), so even if the worker never wakes
+  // before Stop, urgent evictions cannot displace every unconstrained entry
+  // and at least one request completes ok whatever the host's timing.
   ServerFixture f;
   ServerOptions opts;
   opts.num_workers = 1;
@@ -585,9 +588,10 @@ TEST(InferenceServerTest, StopResolvesEveryOutstandingFuture) {
   std::vector<std::future<ItemReport>> futures;
   const int kRequests = 12;
   for (int i = 0; i < kRequests; ++i) {
-    // Every third request gets a deadline one device quantum out — far too
-    // tight once it sits behind the backlog — the rest are unconstrained.
-    const double deadline = (i % 3 == 2) ? 1.0 * dev : kNoDeadline;
+    // Every fourth request gets a deadline one device quantum out — far
+    // too tight once it sits behind the backlog — the rest are
+    // unconstrained.
+    const double deadline = (i % 4 == 3) ? 1.0 * dev : kNoDeadline;
     futures.push_back(server.Submit(h, input, deadline));
   }
   server.Stop();

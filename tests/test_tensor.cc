@@ -87,6 +87,49 @@ TEST(TensorTest, WrongRankAccessThrows) {
   EXPECT_THROW(t.at(0, 0, 0), InvalidArgument);
 }
 
+TEST(TensorTest, WrongRankAccessThrowsForEveryAccessor) {
+  const Tensor<int> t2(Shape{2, 3});
+  const Tensor<int> t3(Shape{2, 3, 4});
+  const Tensor<int> t4(Shape{2, 3, 4, 5});
+  EXPECT_THROW(t2.at(0, 0, 0), InvalidArgument);
+  EXPECT_THROW(t2.at(0, 0, 0, 0), InvalidArgument);
+  EXPECT_THROW(t3.at(0, 0), InvalidArgument);
+  EXPECT_THROW(t3.at(0, 0, 0, 0), InvalidArgument);
+  EXPECT_THROW(t4.at(0, 0), InvalidArgument);
+  EXPECT_THROW(t4.at(0, 0, 0), InvalidArgument);
+  const Tensor<int> scalar;
+  EXPECT_THROW(scalar.at(0, 0), InvalidArgument);
+}
+
+TEST(TensorTest, OutOfBoundsCoordinateThrowsOnEveryDim) {
+  Tensor<int> t2(Shape{2, 3});
+  Tensor<int> t3(Shape{2, 3, 4});
+  Tensor<int> t4(Shape{2, 3, 4, 5});
+  // One past the end and one before the start, per dimension.
+  EXPECT_THROW(t2.at(2, 0), InvalidArgument);
+  EXPECT_THROW(t2.at(0, 3), InvalidArgument);
+  EXPECT_THROW(t2.at(-1, 0), InvalidArgument);
+  EXPECT_THROW(t3.at(2, 0, 0), InvalidArgument);
+  EXPECT_THROW(t3.at(0, 3, 0), InvalidArgument);
+  EXPECT_THROW(t3.at(0, 0, 4), InvalidArgument);
+  EXPECT_THROW(t3.at(0, -1, 0), InvalidArgument);
+  EXPECT_THROW(t4.at(2, 0, 0, 0), InvalidArgument);
+  EXPECT_THROW(t4.at(0, 3, 0, 0), InvalidArgument);
+  EXPECT_THROW(t4.at(0, 0, 4, 0), InvalidArgument);
+  EXPECT_THROW(t4.at(0, 0, 0, 5), InvalidArgument);
+  EXPECT_THROW(t4.at(0, 0, 0, -1), InvalidArgument);
+  // A coordinate that overflows its own dim but whose flat index would
+  // still land inside the buffer is rejected too.
+  EXPECT_THROW(t3.at(0, 0, 5), InvalidArgument);
+  // The last element of each is addressable, at its row-major index.
+  t2.at(1, 2) = 7;
+  t3.at(1, 2, 3) = 8;
+  t4.at(1, 2, 3, 4) = 9;
+  EXPECT_EQ(t2.flat(5), 7);
+  EXPECT_EQ(t3.flat(23), 8);
+  EXPECT_EQ(t4.flat(119), 9);
+}
+
 TEST(TensorTest, DataSizeMismatchThrows) {
   EXPECT_THROW(Tensor<int>(Shape{2, 2}, std::vector<int>{1, 2, 3}),
                InvalidArgument);

@@ -30,6 +30,7 @@ RATE_KEYS = (
     "aggregate_effective_gops",
     "speedup",
     "speedup_4v1",
+    "host_speedup_4v1",
     "gops_1_worker",
     "gops_4_workers",
     # serving front door (BENCH_serve_latency.json)
