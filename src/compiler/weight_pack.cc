@@ -7,6 +7,7 @@
 #include "common/check.h"
 #include "common/math_util.h"
 #include "common/prng.h"
+#include "estimator/latency_cache.h"
 #include "winograd/decompose.h"
 #include "winograd/matrices.h"
 #include "winograd/transform.h"
@@ -212,6 +213,35 @@ void PackWeightRegion(const CompiledModel& cm, const Model& model,
   }
 }
 
+/// Digest of everything in `cm` that places or shapes the packed words
+/// (what PackWeightRegion reads from the program).
+std::uint64_t ParameterLayoutDigest(const CompiledModel& cm) {
+  std::uint64_t h = 0;
+  const auto mix = [&h](std::int64_t v) {
+    h = HashCombine(h, static_cast<std::uint64_t>(v));
+  };
+  mix(cm.cfg.pi);
+  mix(cm.cfg.po);
+  mix(cm.cfg.pt);
+  mix(cm.fmap_base);
+  mix(static_cast<std::int64_t>(cm.plans.size()));
+  for (const LayerPlan& plan : cm.plans) {
+    mix(static_cast<std::int64_t>(plan.mapping.mode));
+    mix(plan.groups.gk);
+    mix(plan.groups.k_per_group);
+    mix(plan.groups.cb);
+    mix(plan.groups.c_per_block);
+    mix(plan.groups.slices);
+    mix(plan.in_shape.channels);
+    mix(plan.conv_out.channels);
+    mix(plan.u_shift);
+    mix(plan.wgt_dram_base);
+    mix(plan.wgt_dram_words);
+    mix(plan.bias_dram_base);
+  }
+  return h;
+}
+
 }  // namespace
 
 void WriteWeightImages(const CompiledModel& cm, const Model& model,
@@ -224,8 +254,14 @@ void WriteWeightImages(const CompiledModel& cm, const Model& model,
 
 WeightImage::WeightImage(const CompiledModel& cm, const Model& model,
                          const ModelWeightsQ& weights)
-    : words_(static_cast<std::size_t>(cm.fmap_base)) {
+    : words_(static_cast<std::size_t>(cm.fmap_base)),
+      layout_digest_(ParameterLayoutDigest(cm)) {
   PackWeightRegion(cm, model, weights, words_);
+}
+
+bool WeightImage::PackedFor(const CompiledModel& cm) const {
+  return static_cast<std::int64_t>(words_.size()) == cm.fmap_base &&
+         layout_digest_ == ParameterLayoutDigest(cm);
 }
 
 ModelWeightsQ SyntheticWeights(const Model& model, std::uint64_t seed) {

@@ -71,8 +71,17 @@ class WeightImage {
 
   std::span<const std::int16_t> words() const { return words_; }
 
+  /// True when `cm` has the parameter layout this image was packed for:
+  /// the same PE-array geometry and, per layer, the same mode, weight
+  /// grouping, channel counts, transform shift and image bases (a copy of
+  /// the program qualifies). The weight values themselves are not
+  /// identified: pairing an image with the intended weights is the
+  /// caller's contract.
+  bool PackedFor(const CompiledModel& cm) const;
+
  private:
   std::vector<std::int16_t> words_;
+  std::uint64_t layout_digest_ = 0;
 };
 
 /// Deterministic synthetic quantised weights for experiments (paper

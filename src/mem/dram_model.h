@@ -28,10 +28,12 @@ struct DramFault {
 
 /// Allocator for the DRAM backing store: whole pages mapped from the OS
 /// and unmapped on release. A deployment's DRAM image is the host's largest
-/// allocation (megabytes); kept out of the malloc heap, freeing it returns
-/// the memory at once, and the small objects the host allocates between two
-/// deployments can never split the hole it leaves and push the next image
-/// to a fresh heap top (which grows peak RSS by a whole image).
+/// allocation (megabytes). From malloc, the first freed image raises
+/// glibc's dynamic mmap threshold to its size, so later images come from
+/// the brk heap, which does not return them: peak RSS grows by about one
+/// image. Mapped directly, each image returns to the OS when freed.
+/// ASan builds keep the store in the (instrumented) heap; DESIGN.md
+/// Sec. 13.
 template <typename T>
 struct PageAllocator {
   using value_type = T;

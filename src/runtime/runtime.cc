@@ -84,9 +84,8 @@ RunReport Runtime::Execute(const Model& model, const CompiledModel& cm,
 
 RunReport Runtime::Execute(const Model& model, const CompiledModel& cm,
                            const WeightImage& image,
-                           const Tensor<std::int16_t>& input,
-                           bool functional) {
-  return Run(model, cm, nullptr, &image, input, functional);
+                           const Tensor<std::int16_t>& input) {
+  return Run(model, cm, nullptr, &image, input, /*functional=*/true);
 }
 
 RunReport Runtime::Run(const Model& model, const CompiledModel& cm,
@@ -105,11 +104,10 @@ RunReport Runtime::Run(const Model& model, const CompiledModel& cm,
 
   if (functional) {
     if (image != nullptr) {
-      HDNN_CHECK(static_cast<std::int64_t>(image->words().size()) ==
-                 cm.fmap_base)
-          << "weight image of " << image->words().size()
-          << " words does not cover this program's parameter region of "
-          << cm.fmap_base << " words";
+      HDNN_CHECK(image->PackedFor(cm))
+          << "weight image (" << image->words().size()
+          << " words) was packed for another parameter layout than this "
+          << "program's (" << cm.fmap_base << " words)";
       dram_->WriteBlock(0, image->words());
     } else {
       WriteWeightImages(cm, model, *weights, *dram_);

@@ -42,13 +42,15 @@ class Runtime {
                     const ModelWeightsQ& weights,
                     const Tensor<std::int16_t>& input, bool functional = true);
 
-  /// Same run, with the parameters taken from a prebuilt WeightImage of
-  /// this `cm`: a functional run restores it with one bulk DRAM write
-  /// instead of packing. Outputs, SimStats and DRAM word counts are
-  /// identical to the `weights` overload (DESIGN.md Sec. 13).
+  /// Same functional run, with the parameters restored from a prebuilt
+  /// WeightImage of this `cm` by one bulk DRAM write instead of packing.
+  /// Outputs, SimStats and DRAM word counts are identical to the `weights`
+  /// overload (DESIGN.md Sec. 13). Throws InvalidArgument when the image
+  /// was packed for another parameter layout (WeightImage::PackedFor).
+  /// Timing-only runs read no weights: use the `weights` overload.
   RunReport Execute(const Model& model, const CompiledModel& cm,
                     const WeightImage& image,
-                    const Tensor<std::int16_t>& input, bool functional = true);
+                    const Tensor<std::int16_t>& input);
 
   /// Integrity tagging (DESIGN.md Sec. 12): when enabled, a functional
   /// Execute computes a CRC32 over the final fmap SAVE slab the instant the

@@ -222,10 +222,29 @@ TEST(WeightImageTest, ImageOfAnotherProgramIsRejected) {
   const Deployment& b = ds[1];
   ASSERT_NE(a.cm.fmap_base, b.cm.fmap_base);
   const WeightImage image_b(b.cm, b.model, b.weights);
+  EXPECT_FALSE(image_b.PackedFor(a.cm));
   Runtime runtime(a.cfg, TestSpec());
   EXPECT_THROW(runtime.Execute(a.model, a.cm, image_b,
                                MakeInput(a.model.InputOf(0), 3)),
                InvalidArgument);
+
+  // Same-sized region, another layout: the Winograd program `b` with
+  // another kernel-transform shift packs different words.
+  ASSERT_EQ(b.cm.plans[0].mapping.mode, ConvMode::kWinograd);
+  CompiledModel shifted = b.cm;
+  shifted.plans[0].u_shift += 1;
+  const WeightImage image_shifted(shifted, b.model, b.weights);
+  ASSERT_EQ(image_shifted.words().size(), image_b.words().size());
+  ASSERT_FALSE(std::ranges::equal(image_shifted.words(), image_b.words()));
+  EXPECT_FALSE(image_shifted.PackedFor(b.cm));
+  Runtime runtime_b(b.cfg, TestSpec());
+  EXPECT_THROW(runtime_b.Execute(b.model, b.cm, image_shifted,
+                                 MakeInput(b.model.InputOf(0), 3)),
+               InvalidArgument);
+
+  // A copy of the program has the same layout.
+  const CompiledModel copy = b.cm;
+  EXPECT_TRUE(image_b.PackedFor(copy));
 }
 
 TEST(WeightImageTest, MismatchedWeightsAreRejectedBeforePacking) {
